@@ -5,10 +5,10 @@
 SHELL := /bin/bash
 GO ?= go
 
-.PHONY: check build fmt vet mdcheck examples test race cover faults-smoke migration-smoke scan-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-json bench-compare bench-compare-strict clean
+.PHONY: check build fmt vet mdcheck examples test race cover faults-smoke migration-smoke scan-smoke bench-smoke perfbench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-json bench-compare bench-compare-strict clean
 
 ## check: everything CI gates a PR on
-check: fmt vet mdcheck examples race faults-smoke migration-smoke scan-smoke bench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-compare-strict
+check: fmt vet mdcheck examples race faults-smoke migration-smoke scan-smoke bench-smoke perfbench-smoke fig-smoke shards-smoke saturation-smoke durability-smoke migration-fig-smoke bench-compare-strict
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,13 @@ scan-smoke:
 bench-smoke:
 	set -o pipefail; $(GO) test -bench . -benchtime 1x -run '^$$' ./... | tee bench.out
 	$(GO) run ./cmd/paxosbench -benchjson bench.out -o BENCH_ci.json -context local
+
+## perfbench-smoke: the repository benchmark's own tests (CI "bench" job).
+## perfbench/ is a separate Go module, so the root `go test ./...` never
+## reaches it; its tests check that BENCHMARK.json matches the program and
+## smoke-run every workload end to end.
+perfbench-smoke:
+	cd perfbench && $(GO) test -count=1 .
 
 ## fig-smoke: scaled-down full figure regeneration (CI "bench" job)
 fig-smoke:

@@ -32,9 +32,10 @@ import (
 //     by hint and commit under the new epoch.
 func TestMasterLeaseFencingNemesis(t *testing.T) {
 	const lease = 250 * time.Millisecond
+	const seed = 31
 	c := New(Config{
 		Topology:      MustPaperTopology("VVV"),
-		NetConfig:     network.SimConfig{Seed: 31, Scale: 0.002, Jitter: 0.2},
+		NetConfig:     network.SimConfig{Seed: seed, Scale: 0.002, Jitter: 0.2},
 		Timeout:       80 * time.Millisecond,
 		SubmitWindow:  4,
 		SubmitCombine: 3,
@@ -198,7 +199,18 @@ func TestMasterLeaseFencingNemesis(t *testing.T) {
 	for pos := int64(1); pos <= int64(len(merged)); pos++ {
 		e, ok := merged[pos]
 		if !ok {
-			t.Fatalf("log hole at %d", pos)
+			// Diagnostics for a hole: which replicas had applied past it,
+			// and how far past the entry count the log reaches.
+			top := int64(0)
+			for p := range merged {
+				top = max(top, p)
+			}
+			applied := ""
+			for _, dc := range c.DCs() {
+				applied += fmt.Sprintf(" %s=%d", dc, c.Service(dc).LastApplied("g"))
+			}
+			t.Fatalf("log hole at %d (seed %d): V2's log has %d entries, highest position %d; applied watermarks:%s",
+				pos, seed, len(merged), top, applied)
 		}
 		if e.IsClaim() {
 			if e.Epoch > prevailing {

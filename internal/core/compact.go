@@ -168,7 +168,7 @@ func (s *Service) installSnapshot(blob []byte) error {
 	writes := make([]kvstore.BatchWrite, 0, len(snap.Rows))
 	for _, row := range snap.Rows {
 		writes = append(writes, kvstore.BatchWrite{
-			Key: dataKey(snap.Group, row.Key), Value: kvstore.Value{"v": row.Val}, TS: row.TS,
+			Key: dataKey(snap.Group, row.Key), Value: kvstore.PackAttr("v", row.Val), TS: row.TS,
 		})
 	}
 	if err := s.store.ApplyBatch(writes); err != nil {

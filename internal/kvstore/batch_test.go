@@ -10,9 +10,9 @@ import (
 func TestApplyBatchBasic(t *testing.T) {
 	s := New()
 	err := s.ApplyBatch([]BatchWrite{
-		{Key: "a", Value: Value{"v": "1"}, TS: 1},
-		{Key: "b", Value: Value{"v": "2"}, TS: 1},
-		{Key: "a", Value: Value{"v": "3"}, TS: 2},
+		{Key: "a", Value: PackAttr("v", "1"), TS: 1},
+		{Key: "b", Value: PackAttr("v", "2"), TS: 1},
+		{Key: "a", Value: PackAttr("v", "3"), TS: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestApplyBatchEmpty(t *testing.T) {
 
 func TestApplyBatchRejectsImplicitTimestamp(t *testing.T) {
 	s := New()
-	err := s.ApplyBatch([]BatchWrite{{Key: "a", Value: Value{"v": "1"}, TS: -1}})
+	err := s.ApplyBatch([]BatchWrite{{Key: "a", Value: PackAttr("v", "1"), TS: -1}})
 	if err == nil {
 		t.Fatal("negative timestamp accepted")
 	}
@@ -46,8 +46,8 @@ func TestApplyBatchRejectsImplicitTimestamp(t *testing.T) {
 func TestApplyBatchIdempotentReplay(t *testing.T) {
 	s := New()
 	batch := []BatchWrite{
-		{Key: "a", Value: Value{"v": "1"}, TS: 1},
-		{Key: "b", Value: Value{"v": "2"}, TS: 1},
+		{Key: "a", Value: PackAttr("v", "1"), TS: 1},
+		{Key: "b", Value: PackAttr("v", "2"), TS: 1},
 	}
 	for i := 0; i < 3; i++ {
 		if err := s.ApplyBatch(batch); err != nil {
@@ -68,9 +68,9 @@ func TestApplyBatchConflictAppliesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := s.ApplyBatch([]BatchWrite{
-		{Key: "fresh1", Value: Value{"v": "x"}, TS: 1},
-		{Key: "clash", Value: Value{"v": "DIFFERENT"}, TS: 5},
-		{Key: "fresh2", Value: Value{"v": "y"}, TS: 1},
+		{Key: "fresh1", Value: PackAttr("v", "x"), TS: 1},
+		{Key: "clash", Value: PackAttr("v", "DIFFERENT"), TS: 5},
+		{Key: "fresh2", Value: PackAttr("v", "y"), TS: 1},
 	})
 	if !errors.Is(err, ErrStaleWrite) {
 		t.Fatalf("err = %v, want ErrStaleWrite", err)
@@ -87,12 +87,12 @@ func TestApplyBatchConflictAppliesNothing(t *testing.T) {
 
 func TestApplyBatchBackfillKeepsHistoricalReads(t *testing.T) {
 	s := New()
-	if err := s.ApplyBatch([]BatchWrite{{Key: "k", Value: Value{"v": "late"}, TS: 10}}); err != nil {
+	if err := s.ApplyBatch([]BatchWrite{{Key: "k", Value: PackAttr("v", "late"), TS: 10}}); err != nil {
 		t.Fatal(err)
 	}
 	// Backfill an older position after a newer one exists (out-of-order
 	// apply across batches).
-	if err := s.ApplyBatch([]BatchWrite{{Key: "k", Value: Value{"v": "early"}, TS: 4}}); err != nil {
+	if err := s.ApplyBatch([]BatchWrite{{Key: "k", Value: PackAttr("v", "early"), TS: 4}}); err != nil {
 		t.Fatal(err)
 	}
 	if v, ts, err := s.Read("k", 7); err != nil || ts != 4 || v["v"] != "early" {
@@ -118,8 +118,8 @@ func TestApplyBatchConcurrentIdenticalBatches(t *testing.T) {
 			defer wg.Done()
 			for ts := int64(1); ts <= positions; ts++ {
 				batch := []BatchWrite{
-					{Key: "shared", Value: Value{"v": fmt.Sprint(ts)}, TS: ts},
-					{Key: fmt.Sprintf("k%d", ts%7), Value: Value{"v": fmt.Sprint(ts)}, TS: ts},
+					{Key: "shared", Value: PackAttr("v", fmt.Sprint(ts)), TS: ts},
+					{Key: fmt.Sprintf("k%d", ts%7), Value: PackAttr("v", fmt.Sprint(ts)), TS: ts},
 				}
 				if err := s.ApplyBatch(batch); err != nil {
 					errs <- err
@@ -157,7 +157,7 @@ func TestApplyBatchConcurrentDisjointShards(t *testing.T) {
 				for k := 0; k < 4; k++ {
 					batch = append(batch, BatchWrite{
 						Key:   fmt.Sprintf("g%d-k%d", g, k),
-						Value: Value{"v": fmt.Sprint(ts)},
+						Value: PackAttr("v", fmt.Sprint(ts)),
 						TS:    ts,
 					})
 				}
@@ -181,7 +181,7 @@ func TestApplyBatchConcurrentDisjointShards(t *testing.T) {
 func TestApplyBatchClosedStore(t *testing.T) {
 	s := New()
 	s.Close()
-	err := s.ApplyBatch([]BatchWrite{{Key: "a", Value: Value{"v": "1"}, TS: 1}})
+	err := s.ApplyBatch([]BatchWrite{{Key: "a", Value: PackAttr("v", "1"), TS: 1}})
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
@@ -203,7 +203,7 @@ func BenchmarkApplyBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ts := int64(i + 1)
 		for k := 0; k < keys; k++ {
-			batch[k] = BatchWrite{Key: names[k], Value: Value{"v": "x"}, TS: ts}
+			batch[k] = BatchWrite{Key: names[k], Value: PackAttr("v", "x"), TS: ts}
 		}
 		if err := s.ApplyBatch(batch); err != nil {
 			b.Fatal(err)

@@ -69,7 +69,7 @@ func mutHistory(n, nkeys int) []kvstore.Mutation {
 			Op:    kvstore.OpWrite,
 			Key:   "key-" + strconv.Itoa(i%nkeys),
 			TS:    int64(i),
-			Value: kvstore.Value{"attr": "v" + strconv.Itoa(i), "pad": "xxxxxxxx"},
+			Value: kvstore.Pack(kvstore.Value{"attr": "v" + strconv.Itoa(i), "pad": "xxxxxxxx"}),
 		}
 	}
 	return muts
@@ -86,7 +86,7 @@ func expectState(t *testing.T, s *kvstore.Store, muts []kvstore.Mutation, j int)
 		if err != nil {
 			t.Fatalf("prefix %d: read %s@%d: %v", j, m.Key, m.TS, err)
 		}
-		if ts != m.TS || !v.Equal(m.Value) {
+		if ts != m.TS || !v.Equal(m.Value.Value()) {
 			t.Fatalf("prefix %d: read %s@%d = (%v, %d), want (%v, %d)", j, m.Key, m.TS, v, ts, m.Value, m.TS)
 		}
 	}
@@ -119,7 +119,7 @@ func TestEveryPrefixTruncation(t *testing.T) {
 	src := t.TempDir()
 	s, e := mustOpen(t, src, Options{Fsync: SyncEvery})
 	for _, m := range muts {
-		if err := s.WriteIdempotent(m.Key, m.Value, m.TS); err != nil {
+		if err := s.WriteIdempotent(m.Key, m.Value.Value(), m.TS); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 	}
@@ -236,7 +236,7 @@ func TestDoubleReplayIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	s, e := mustOpen(t, dir, Options{})
 	for _, m := range muts {
-		if err := s.WriteIdempotent(m.Key, m.Value, m.TS); err != nil {
+		if err := s.WriteIdempotent(m.Key, m.Value.Value(), m.TS); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,7 +247,7 @@ func TestDoubleReplayIdempotent(t *testing.T) {
 		expectState(t, s2, muts, len(muts))
 		// Replay everything again on top of the recovered image.
 		for _, m := range muts {
-			if err := s2.ApplyMutation(kvstore.Mutation{Op: m.Op, Key: m.Key, TS: m.TS, Value: m.Value.Clone()}); err != nil {
+			if err := s2.ApplyMutation(kvstore.Mutation{Op: m.Op, Key: m.Key, TS: m.TS, Value: m.Value}); err != nil {
 				t.Fatalf("round %d: second replay: %v", round, err)
 			}
 		}
@@ -265,7 +265,7 @@ func TestSnapshotCompactionAndReplay(t *testing.T) {
 	muts := mutHistory(n, 8)
 	s, e := mustOpen(t, dir, Options{SegmentBytes: 1024, CompactSegments: 1})
 	for _, m := range muts {
-		if err := s.WriteIdempotent(m.Key, m.Value, m.TS); err != nil {
+		if err := s.WriteIdempotent(m.Key, m.Value.Value(), m.TS); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -402,7 +402,7 @@ func TestSnapshotHorizonIsDurable(t *testing.T) {
 	s, e := mustOpen(t, dir, Options{Fsync: SyncInterval, Interval: time.Hour})
 	muts := mutHistory(20, 4)
 	for _, m := range muts {
-		if err := s.WriteIdempotent(m.Key, m.Value, m.TS); err != nil {
+		if err := s.WriteIdempotent(m.Key, m.Value.Value(), m.TS); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -426,7 +426,7 @@ func TestSnapshotHorizonIsDurable(t *testing.T) {
 	s2, e2 := mustOpen(t, dir, Options{})
 	post := mutHistory(15, 3)
 	for _, m := range post {
-		if err := s2.WriteIdempotent(m.Key, m.Value, m.TS); err != nil {
+		if err := s2.WriteIdempotent(m.Key, m.Value.Value(), m.TS); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -440,7 +440,7 @@ func TestSnapshotHorizonIsDurable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-recovery write %s@%d lost: %v", m.Key, m.TS, err)
 		}
-		if ts != m.TS || !v.Equal(m.Value) {
+		if ts != m.TS || !v.Equal(m.Value.Value()) {
 			t.Fatalf("post-recovery write %s@%d = (%v, %d), want (%v, %d)", m.Key, m.TS, v, ts, m.Value, m.TS)
 		}
 	}
@@ -491,7 +491,7 @@ func TestOpenSnapshotBeyondLogEnd(t *testing.T) {
 		t.Fatalf("write after guarded recovery lost on the next recovery: %v", err)
 	}
 	for _, m := range muts {
-		if v, ts, err := s2.Read(m.Key, m.TS); err != nil || ts != m.TS || !v.Equal(m.Value) {
+		if v, ts, err := s2.Read(m.Key, m.TS); err != nil || ts != m.TS || !v.Equal(m.Value.Value()) {
 			t.Fatalf("snapshot state %s@%d = (%v, %d, %v), want (%v, %d)", m.Key, m.TS, v, ts, err, m.Value, m.TS)
 		}
 	}
@@ -571,7 +571,7 @@ func TestIntervalPolicyCleanClose(t *testing.T) {
 	s, e := mustOpen(t, dir, Options{Fsync: SyncInterval})
 	muts := mutHistory(50, 5)
 	for _, m := range muts {
-		if err := s.WriteIdempotent(m.Key, m.Value, m.TS); err != nil {
+		if err := s.WriteIdempotent(m.Key, m.Value.Value(), m.TS); err != nil {
 			t.Fatal(err)
 		}
 	}

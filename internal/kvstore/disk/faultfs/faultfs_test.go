@@ -162,8 +162,8 @@ func TestEveryOpCrashReplayOverFaultFS(t *testing.T) {
 		}},
 		{"ApplyBatch", func(t *testing.T, s *kvstore.Store) {
 			err := s.ApplyBatch([]kvstore.BatchWrite{
-				{Key: "b1", Value: kvstore.Value{"v": "a"}, TS: 1},
-				{Key: "b2", Value: kvstore.Value{"v": "b"}, TS: 1},
+				{Key: "b1", Value: kvstore.PackAttr("v", "a"), TS: 1},
+				{Key: "b2", Value: kvstore.PackAttr("v", "b"), TS: 1},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -28,9 +27,12 @@ import (
 //	OpDelete: (nothing)
 //	OpGC:     varint(keepFrom)
 //
-// Attributes are encoded in sorted order so identical mutations encode to
-// identical bytes. The op byte values are kvstore.Op constants, which are
-// frozen (renumbering them would corrupt every existing log).
+// The OpWrite value (nattrs and the pairs) is exactly kvstore.Packed, the
+// store's in-memory version encoding: attributes in sorted order, so
+// identical mutations encode to identical bytes, and Append copies the
+// store's bytes instead of re-encoding. The op byte values are kvstore.Op
+// constants, which are frozen (renumbering them would corrupt every
+// existing log).
 
 // maxRecordBytes bounds a single record. A length prefix beyond it is treated
 // as a torn tail (final segment) or corruption (sealed segment) instead of an
@@ -47,19 +49,7 @@ func appendRecord(dst []byte, m kvstore.Mutation) []byte {
 	switch m.Op {
 	case kvstore.OpWrite:
 		p = binary.AppendVarint(p, m.TS)
-		p = binary.AppendUvarint(p, uint64(len(m.Value)))
-		attrs := make([]string, 0, len(m.Value))
-		for k := range m.Value {
-			attrs = append(attrs, k)
-		}
-		sort.Strings(attrs)
-		for _, k := range attrs {
-			p = binary.AppendUvarint(p, uint64(len(k)))
-			p = append(p, k...)
-			v := m.Value[k]
-			p = binary.AppendUvarint(p, uint64(len(v)))
-			p = append(p, v...)
-		}
+		p = append(p, m.Value...)
 	case kvstore.OpDelete:
 		// key only
 	case kvstore.OpGC:
@@ -128,25 +118,10 @@ func decodePayload(p []byte) (kvstore.Mutation, error) {
 		if n <= 0 {
 			return m, errors.New("disk: record ts")
 		}
-		p = p[n:]
 		m.TS = ts
-		nattrs, n := binary.Uvarint(p)
-		if n <= 0 || nattrs > uint64(len(p)) {
-			return m, errors.New("disk: record attr count")
+		if m.Value, err = kvstore.ParsePacked(p[n:]); err != nil {
+			return m, fmt.Errorf("disk: record value: %w", err)
 		}
-		p = p[n:]
-		val := make(kvstore.Value, nattrs)
-		for i := uint64(0); i < nattrs; i++ {
-			var k, v string
-			if k, p, err = decodeString(p); err != nil {
-				return m, fmt.Errorf("disk: record attr: %w", err)
-			}
-			if v, p, err = decodeString(p); err != nil {
-				return m, fmt.Errorf("disk: record attr value: %w", err)
-			}
-			val[k] = v
-		}
-		m.Value = val
 	case kvstore.OpDelete:
 		// key only
 	case kvstore.OpGC:

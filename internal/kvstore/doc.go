@@ -12,7 +12,8 @@
 // Timestamps are logical; the transaction tier uses write-ahead-log
 // positions as timestamps (paper §3.2). The paper's prototype used HBase;
 // this store implements the same abstraction contract with 32-way sharding
-// and per-row version arrays (see DESIGN.md §5). The working image lives in
+// and per-row version arrays, each version one immutable packed string in
+// the disk WAL's value layout (see DESIGN.md §5). The working image lives in
 // memory; durability is a pluggable backend behind the Engine seam
 // (DESIGN.md §14): with no engine attached (the default) the store is
 // purely in-memory — the simulator's and most tests' backend — and

@@ -15,8 +15,7 @@ import "fmt"
 //     row (or shard) lock, exactly as before;
 //  2. still under that lock, Append the corresponding Mutation records to
 //     the engine — Append only encodes and assigns sequence numbers, it
-//     never blocks on I/O, and the engine encodes before returning so the
-//     caller's maps are never retained;
+//     never blocks on I/O;
 //  3. release the lock, then Sync to the returned sequence number;
 //  4. only then return success to the caller.
 //
@@ -43,7 +42,8 @@ const (
 	// OpWrite creates (idempotently) the version TS of row Key with
 	// contents Value. All write-family operations — Write, WriteIdempotent,
 	// CheckAndWrite, Update, ApplyBatch — log as OpWrite with the timestamp
-	// they resolved.
+	// they resolved; CheckAndWrite and Update follow it with an OpGC at the
+	// same timestamp when they replaced an older version.
 	OpWrite Op = 1
 	// OpDelete removes row Key and all its versions (compaction scavenge).
 	OpDelete Op = 2
@@ -60,9 +60,9 @@ type Mutation struct {
 	// TS is the version timestamp for OpWrite and the keepFrom horizon for
 	// OpGC; unused for OpDelete.
 	TS int64
-	// Value is the version contents for OpWrite; nil otherwise. The engine
-	// must not retain it past Append.
-	Value Value
+	// Value is the version contents for OpWrite, as Pack encodes them —
+	// exactly the bytes the disk engine's WAL stores; empty otherwise.
+	Value Packed
 }
 
 // Engine is a durability backend behind a Store. Implementations must be
@@ -178,7 +178,7 @@ func (s *Store) ApplyMutation(m Mutation) error {
 	case OpWrite:
 		r := s.getRow(m.Key, true)
 		r.mu.Lock()
-		_, err := r.applyIdempotent(m.TS, m.Value, false)
+		_, err := r.applyIdempotent(m.TS, m.Value)
 		r.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("%w key=%q", err, m.Key)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,16 +55,26 @@ func (v Value) Equal(o Value) bool {
 	return true
 }
 
-// Version is a single timestamped version of a row.
+// Version is a single timestamped version of a row, in decoded form. The
+// store keeps versions packed (see version); Version is the shape gob
+// snapshots carry (persist.go).
 type Version struct {
 	Timestamp int64
 	Value     Value
 }
 
-// row holds all versions of one key, sorted by ascending timestamp.
+// version is one stored version: its timestamp and its contents packed in
+// the WAL's value layout (packed.go), one immutable string per version.
+type version struct {
+	ts  int64
+	val Packed
+}
+
+// row holds all versions of one key, sorted by ascending timestamp. Rows
+// written by CheckAndWrite or Update keep only their latest version.
 type row struct {
 	mu       sync.Mutex
-	versions []Version
+	versions []version
 	// gone marks a row Delete removed from its shard map. A writer that
 	// pinned the row pointer before the delete must not mutate the orphaned
 	// object (the mutation would be invisible to readers yet still reach the
@@ -74,24 +85,33 @@ type row struct {
 
 // latest returns the newest version, or nil if none exist.
 // Caller must hold row.mu.
-func (r *row) latest() *Version {
+func (r *row) latest() *version {
 	if len(r.versions) == 0 {
 		return nil
 	}
 	return &r.versions[len(r.versions)-1]
 }
 
-// at returns the newest version with Timestamp <= ts, or nil.
+// at returns the newest version with timestamp <= ts, or nil.
 // Caller must hold row.mu.
-func (r *row) at(ts int64) *Version {
-	// Binary search for the first version with Timestamp > ts.
+func (r *row) at(ts int64) *version {
+	// Binary search for the first version with timestamp > ts.
 	i := sort.Search(len(r.versions), func(i int) bool {
-		return r.versions[i].Timestamp > ts
+		return r.versions[i].ts > ts
 	})
 	if i == 0 {
 		return nil
 	}
 	return &r.versions[i-1]
+}
+
+// visible returns the version a read at ts resolves to (ts < 0: the
+// latest), or nil. Caller must hold row.mu.
+func (r *row) visible(ts int64) *version {
+	if ts < 0 {
+		return r.latest()
+	}
+	return r.at(ts)
 }
 
 const numShards = 32
@@ -100,9 +120,9 @@ type shard struct {
 	mu   sync.RWMutex
 	rows map[string]*row
 
-	// Ordered key index (scan.go): base is sorted and may hold ghosts,
-	// delta buffers unsorted recent inserts, dead counts deletes since the
-	// last fold. All three are read and written under mu.
+	// Ordered key index (scan.go): base and the small delta of recent
+	// inserts are both sorted and may hold ghosts, dead counts deletes
+	// since the last fold. All three are read and written under mu.
 	base  []string
 	delta []string
 	dead  int
@@ -125,7 +145,7 @@ type Store struct {
 	closed    bool
 	engineErr error // sticky engine failure: mutations fail-stop
 
-	// scanExamined counts index candidates ScanPrefix resolved; see
+	// scanExamined counts index entries ScanPrefix's gathers returned; see
 	// ScanExamined.
 	scanExamined atomic.Int64
 }
@@ -245,16 +265,11 @@ func (s *Store) Read(key string, ts int64) (Value, int64, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var v *Version
-	if ts < 0 {
-		v = r.latest()
-	} else {
-		v = r.at(ts)
-	}
+	v := r.visible(ts)
 	if v == nil {
 		return nil, 0, ErrNotFound
 	}
-	return v.Value.Clone(), v.Timestamp, nil
+	return v.val.Value(), v.ts, nil
 }
 
 // Latest may be passed as the timestamp to Read to fetch the most recent
@@ -314,14 +329,8 @@ func (s *Store) ReadMulti(keys []string, ts int64) ([]MultiResult, error) {
 			continue
 		}
 		r.mu.Lock()
-		var v *Version
-		if ts < 0 {
-			v = r.latest()
-		} else {
-			v = r.at(ts)
-		}
-		if v != nil {
-			out[i] = MultiResult{Value: v.Value.Clone(), TS: v.Timestamp, Found: true}
+		if v := r.visible(ts); v != nil {
+			out[i] = MultiResult{Value: v.val.Value(), TS: v.ts, Found: true}
 		}
 		r.mu.Unlock()
 	}
@@ -338,21 +347,21 @@ func (s *Store) Write(key string, value Value, ts int64) (int64, error) {
 	if err := s.mutGate(); err != nil {
 		return 0, err
 	}
+	stored := Pack(value)
 	r := s.lockRow(key)
 	last := r.latest()
 	if ts < 0 {
 		ts = 0
 		if last != nil {
-			ts = last.Timestamp + 1
+			ts = last.ts + 1
 		}
-	} else if last != nil && last.Timestamp >= ts {
-		have := last.Timestamp
+	} else if last != nil && last.ts >= ts {
+		have := last.ts
 		r.mu.Unlock()
 		return 0, fmt.Errorf("%w: have ts=%d, write ts=%d key=%q",
 			ErrStaleWrite, have, ts, key)
 	}
-	stored := value.Clone()
-	r.versions = append(r.versions, Version{Timestamp: ts, Value: stored})
+	r.versions = append(r.versions, version{ts: ts, val: stored})
 	var seq uint64
 	logged := false
 	if s.engine != nil {
@@ -375,12 +384,12 @@ func (s *Store) Write(key string, value Value, ts int64) (int64, error) {
 // checkIdempotent reports whether applying (ts, value) idempotently would
 // conflict: a version already exists at ts with a different value.
 // Caller must hold r.mu.
-func (r *row) checkIdempotent(ts int64, value Value) error {
+func (r *row) checkIdempotent(ts int64, value Packed) error {
 	last := r.latest()
-	if last == nil || last.Timestamp < ts {
+	if last == nil || last.ts < ts {
 		return nil // appends past the tail never conflict
 	}
-	if v := r.at(ts); v != nil && v.Timestamp == ts && !v.Value.Equal(value) {
+	if v := r.at(ts); v != nil && v.ts == ts && v.val != value {
 		return fmt.Errorf("%w: conflicting rewrite of ts=%d", ErrStaleWrite, ts)
 	}
 	return nil
@@ -388,23 +397,18 @@ func (r *row) checkIdempotent(ts int64, value Value) error {
 
 // applyIdempotent inserts (ts, value) keeping versions ordered by timestamp.
 // Re-writing an existing timestamp with an identical value is a no-op; a
-// different value is a conflict. When clone is false the row takes ownership
-// of value (the batched apply path hands over freshly built maps; everything
-// else must pass clone=true to preserve the store's copy-on-write contract).
-// The changed result reports whether the row actually mutated — duplicate
-// deliveries return false, which the engine-logging callers use to keep
-// replayed apply messages out of the write-ahead log. Caller must hold r.mu.
-func (r *row) applyIdempotent(ts int64, value Value, clone bool) (changed bool, err error) {
-	if clone {
-		value = value.Clone()
-	}
+// different value is a conflict. The changed result reports whether the row
+// actually mutated — duplicate deliveries return false, which the
+// engine-logging callers use to keep replayed apply messages out of the
+// write-ahead log. Caller must hold r.mu.
+func (r *row) applyIdempotent(ts int64, value Packed) (changed bool, err error) {
 	last := r.latest()
-	if last == nil || last.Timestamp < ts {
-		r.versions = append(r.versions, Version{Timestamp: ts, Value: value})
+	if last == nil || last.ts < ts {
+		r.versions = append(r.versions, version{ts: ts, val: value})
 		return true, nil
 	}
-	if v := r.at(ts); v != nil && v.Timestamp == ts {
-		if v.Value.Equal(value) {
+	if v := r.at(ts); v != nil && v.ts == ts {
+		if v.val == value {
 			return false, nil
 		}
 		return false, fmt.Errorf("%w: conflicting rewrite of ts=%d", ErrStaleWrite, ts)
@@ -412,11 +416,9 @@ func (r *row) applyIdempotent(ts int64, value Value, clone bool) (changed bool, 
 	// A newer version exists but this exact timestamp was never written:
 	// insert in order to keep historical reads correct.
 	i := sort.Search(len(r.versions), func(i int) bool {
-		return r.versions[i].Timestamp > ts
+		return r.versions[i].ts > ts
 	})
-	r.versions = append(r.versions, Version{})
-	copy(r.versions[i+1:], r.versions[i:])
-	r.versions[i] = Version{Timestamp: ts, Value: value}
+	r.versions = slices.Insert(r.versions, i, version{ts: ts, val: value})
 	return true, nil
 }
 
@@ -431,8 +433,9 @@ func (s *Store) WriteIdempotent(key string, value Value, ts int64) error {
 	if ts < 0 {
 		return fmt.Errorf("kvstore: WriteIdempotent requires explicit timestamp")
 	}
+	stored := Pack(value)
 	r := s.lockRow(key)
-	changed, err := r.applyIdempotent(ts, value, true)
+	changed, err := r.applyIdempotent(ts, stored)
 	if err != nil {
 		r.mu.Unlock()
 		return fmt.Errorf("%w key=%q", err, key)
@@ -442,7 +445,7 @@ func (s *Store) WriteIdempotent(key string, value Value, ts int64) error {
 	var seq uint64
 	logged := false
 	if changed && s.engine != nil {
-		sq, aerr := s.appendMut(Mutation{Op: OpWrite, Key: key, TS: ts, Value: value})
+		sq, aerr := s.appendMut(Mutation{Op: OpWrite, Key: key, TS: ts, Value: stored})
 		if aerr != nil {
 			r.mu.Unlock()
 			return aerr
@@ -459,10 +462,11 @@ func (s *Store) WriteIdempotent(key string, value Value, ts int64) error {
 }
 
 // BatchWrite is one idempotent, explicitly-timestamped write in an
-// ApplyBatch call.
+// ApplyBatch call. Value arrives already packed (Pack, PackAttr): the apply
+// path builds each one directly, with no map in between.
 type BatchWrite struct {
 	Key   string
-	Value Value
+	Value Packed
 	TS    int64
 }
 
@@ -471,10 +475,6 @@ type BatchWrite struct {
 // instead of the per-key shard lookup that a loop of Write calls pays. The
 // replicated-log apply path (internal/replog) uses it to land all writes of
 // a batch of contiguous decided log entries in one pass.
-//
-// The store takes ownership of each element's Value: unlike every other
-// write operation it is NOT cloned, so callers must hand over maps they will
-// not mutate afterwards (the apply path builds them fresh per batch).
 //
 // Every write is validated before any row is mutated, so a batch that
 // conflicts with the existing state applies nothing. Under concurrent
@@ -541,7 +541,7 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 	for i := range writes {
 		r := s.lockPinned(rows[i], writes[i].Key)
 		rows[i] = r
-		changed, err := r.applyIdempotent(writes[i].TS, writes[i].Value, false)
+		changed, err := r.applyIdempotent(writes[i].TS, writes[i].Value)
 		if err != nil {
 			r.mu.Unlock()
 			return fmt.Errorf("%w key=%q", err, writes[i].Key)
@@ -573,86 +573,77 @@ func (s *Store) ApplyBatch(writes []BatchWrite) error {
 // missing attribute. Returns ErrCheckFailed when the test fails.
 //
 // This is the operation Algorithm 1 of the paper relies on to make Paxos
-// acceptor state transitions atomic.
+// acceptor state transitions atomic. The rows it writes (acceptor state,
+// leader claims) are only ever read at Latest, so the new version replaces
+// the old one instead of extending a history nobody reads.
 func (s *Store) CheckAndWrite(key, testAttr, testValue string, value Value) error {
 	if err := s.mutGate(); err != nil {
 		return err
 	}
+	stored := Pack(value)
 	r := s.lockRow(key)
 	cur := ""
-	last := r.latest()
-	if last != nil {
-		cur = last.Value[testAttr]
+	if last := r.latest(); last != nil {
+		cur = last.val.Get(testAttr)
 	}
 	if cur != testValue {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: attr %q is %q, want %q", ErrCheckFailed, testAttr, cur, testValue)
 	}
-	ts := int64(0)
-	if last != nil {
-		ts = last.Timestamp + 1
-	}
-	stored := value.Clone()
-	r.versions = append(r.versions, Version{Timestamp: ts, Value: stored})
-	var seq uint64
-	logged := false
-	if s.engine != nil {
-		sq, err := s.appendMut(Mutation{Op: OpWrite, Key: key, TS: ts, Value: stored})
-		if err != nil {
-			r.mu.Unlock()
-			return err
-		}
-		seq, logged = sq, true
-	}
-	r.mu.Unlock()
-	if logged {
-		if err := s.syncMut(seq); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.replaceLatest(r, key, stored)
 }
 
 // Update atomically reads the latest version of key and replaces it with the
 // value returned by fn. fn receives a copy of the latest value (nil if the
 // row is empty) and returns the replacement value, or an error to abort.
-// Update exists for maintenance paths (GC bookkeeping, tooling); the Paxos
-// protocol itself uses only Read/Write/CheckAndWrite per the paper.
+// Update exists for maintenance paths (the replog meta row, tooling); the
+// Paxos protocol itself uses only Read/Write/CheckAndWrite per the paper.
+// Like CheckAndWrite, it keeps only the row's latest version.
 func (s *Store) Update(key string, fn func(Value) (Value, error)) error {
 	if err := s.mutGate(); err != nil {
 		return err
 	}
 	r := s.lockRow(key)
 	var cur Value
-	var ts int64
 	if last := r.latest(); last != nil {
-		cur = last.Value.Clone()
-		ts = last.Timestamp + 1
+		cur = last.val.Value()
 	}
 	next, err := fn(cur)
 	if err != nil {
 		r.mu.Unlock()
 		return err
 	}
-	stored := next.Clone()
-	r.versions = append(r.versions, Version{Timestamp: ts, Value: stored})
+	return s.replaceLatest(r, key, Pack(next))
+}
+
+// replaceLatest makes val the only version of the locked row r, one
+// timestamp past its previous latest, unlocks r, and logs the change. The
+// log carries the write and, when an older version existed, an OpGC at the
+// new timestamp in the same append, so replay rebuilds the single-version
+// row exactly. Caller must hold r.mu; replaceLatest releases it.
+func (s *Store) replaceLatest(r *row, key string, val Packed) error {
+	ts := int64(0)
+	if last := r.latest(); last != nil {
+		ts = last.ts + 1
+	}
+	hadOld := len(r.versions) > 0
+	r.versions = append(r.versions[:0], version{ts: ts, val: val})
+	if s.engine == nil {
+		r.mu.Unlock()
+		return nil
+	}
 	var seq uint64
-	logged := false
-	if s.engine != nil {
-		sq, aerr := s.appendMut(Mutation{Op: OpWrite, Key: key, TS: ts, Value: stored})
-		if aerr != nil {
-			r.mu.Unlock()
-			return aerr
-		}
-		seq, logged = sq, true
+	var err error
+	if hadOld {
+		seq, err = s.appendMut(Mutation{Op: OpWrite, Key: key, TS: ts, Value: val}, Mutation{Op: OpGC, Key: key, TS: ts})
+	} else {
+		seq, err = s.appendMut(Mutation{Op: OpWrite, Key: key, TS: ts, Value: val})
 	}
 	r.mu.Unlock()
-	if logged {
-		if err := s.syncMut(seq); err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
-	return nil
+	return s.syncMut(seq)
 }
 
 // Versions returns the number of stored versions for key.
@@ -715,7 +706,7 @@ func (s *Store) gcRow(key string, keepFrom int64) int {
 // keepFrom. Caller must hold r.mu.
 func (r *row) gc(keepFrom int64) int {
 	i := sort.Search(len(r.versions), func(i int) bool {
-		return r.versions[i].Timestamp > keepFrom
+		return r.versions[i].ts > keepFrom
 	})
 	// Keep the version at keepFrom itself (index i-1) so reads at keepFrom
 	// still resolve.
@@ -724,7 +715,7 @@ func (r *row) gc(keepFrom int64) int {
 		return 0
 	}
 	dropped := cut
-	r.versions = append([]Version(nil), r.versions[cut:]...)
+	r.versions = append([]version(nil), r.versions[cut:]...)
 	return dropped
 }
 

@@ -3,6 +3,8 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -368,6 +370,78 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 		v, ts, err := s.Read(k, Latest)
 		if err != nil || ts != 19 || v["v"] != "19" {
 			t.Fatalf("Read %s = (%v,%d,%v)", k, v, ts, err)
+		}
+	}
+}
+
+// TestVersionFootprint pins the retained heap per stored version: a
+// one-attribute version is one packed string beside its timestamp, not a
+// map of its own (about 300 B). Measured as the GC-bracketed growth of the
+// live heap while existing rows gain versions.
+func TestVersionFootprint(t *testing.T) {
+	const rows, perRow = 200, 100
+	s := New()
+	for i := 0; i < rows; i++ {
+		if _, err := s.Write(fmt.Sprintf("k%03d", i), Value{"v": "0"}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for ts := int64(1); ts <= perRow; ts++ {
+		for i := 0; i < rows; i++ {
+			if _, err := s.Write(fmt.Sprintf("k%03d", i), Value{"v": "1234"}, ts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (rows * perRow)
+	t.Logf("retained %.1f B per one-attribute version", per)
+	if per > 96 {
+		t.Fatalf("retained %.1f B per one-attribute version, want <= 96", per)
+	}
+}
+
+// TestPackedRoundTrip checks the packed version encoding: values round-trip,
+// Get matches map lookup, equal values pack to equal bytes whatever the map
+// order (and PackAttr to the same bytes as Pack), and ParsePacked refuses
+// malformed bytes instead of misreading them.
+func TestPackedRoundTrip(t *testing.T) {
+	for _, v := range []Value{nil, {}, {"v": "1"}, {"b": "2", "a": "", "zz": strings.Repeat("x", 300)}} {
+		p := Pack(v)
+		if got := p.Value(); !got.Equal(v) {
+			t.Fatalf("Pack(%v).Value() = %v", v, got)
+		}
+		for _, attr := range []string{"a", "b", "v", "zz", "missing"} {
+			if got := p.Get(attr); got != v[attr] {
+				t.Fatalf("Pack(%v).Get(%q) = %q, want %q", v, attr, got, v[attr])
+			}
+		}
+		if q, err := ParsePacked([]byte(p)); err != nil || q != p {
+			t.Fatalf("ParsePacked(Pack(%v)) = %q, %v", v, q, err)
+		}
+		if Pack(v.Clone()) != p {
+			t.Fatalf("Pack(%v) is not canonical", v)
+		}
+	}
+	if big := strings.Repeat("y", 200); PackAttr("v", big) != Pack(Value{"v": big}) {
+		t.Fatal("PackAttr and Pack disagree")
+	}
+	for name, b := range map[string][]byte{
+		"empty":     {},
+		"count":     {0x02, 0x01, 'a', 0x01, 'b'},
+		"value len": {0x01, 0x01, 'a', 0x05, 'b'},
+		"order":     {0x02, 0x01, 'b', 0x00, 0x01, 'a', 0x00},
+		"duplicate": {0x02, 0x01, 'a', 0x00, 0x01, 'a', 0x00},
+		"trailing":  {0x01, 0x01, 'a', 0x00, 0xff},
+		"overlong":  {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+	} {
+		if _, err := ParsePacked(b); err == nil {
+			t.Fatalf("ParsePacked accepted %s: %x", name, b)
 		}
 	}
 }

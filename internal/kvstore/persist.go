@@ -43,7 +43,7 @@ func (s *Store) Save(w io.Writer) error {
 		r.mu.Lock()
 		versions := make([]Version, len(r.versions))
 		for i, v := range r.versions {
-			versions[i] = Version{Timestamp: v.Timestamp, Value: v.Value.Clone()}
+			versions[i] = Version{Timestamp: v.ts, Value: v.val.Value()}
 		}
 		r.mu.Unlock()
 		if len(versions) > 0 {
@@ -69,7 +69,9 @@ func Load(r io.Reader) (*Store, error) {
 	s := New()
 	for _, pr := range in.Rows {
 		row := s.getRow(pr.Key, true)
-		row.versions = append(row.versions, pr.Versions...)
+		for _, v := range pr.Versions {
+			row.versions = append(row.versions, version{ts: v.Timestamp, val: Pack(v.Value)})
+		}
 	}
 	return s, nil
 }

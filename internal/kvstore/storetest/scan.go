@@ -153,10 +153,10 @@ func scanDeleteRecreate(t *testing.T, s *kvstore.Store) {
 // exactly as Read would, and rows with no version at or before ts vanish.
 func scanPinnedTS(t *testing.T, s *kvstore.Store) {
 	if err := s.ApplyBatch([]kvstore.BatchWrite{
-		{Key: "t/a", Value: kvstore.Value{"v": "a1"}, TS: 1},
-		{Key: "t/b", Value: kvstore.Value{"v": "b5"}, TS: 5},
-		{Key: "t/c", Value: kvstore.Value{"v": "c2"}, TS: 2},
-		{Key: "t/c", Value: kvstore.Value{"v": "c9"}, TS: 9},
+		{Key: "t/a", Value: kvstore.PackAttr("v", "a1"), TS: 1},
+		{Key: "t/b", Value: kvstore.PackAttr("v", "b5"), TS: 5},
+		{Key: "t/c", Value: kvstore.PackAttr("v", "c2"), TS: 2},
+		{Key: "t/c", Value: kvstore.PackAttr("v", "c9"), TS: 9},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func scanOracleUnderChurn(t *testing.T, s *kvstore.Store) {
 		var batch []kvstore.BatchWrite
 		for i := 0; i < 6; i++ {
 			batch = append(batch, kvstore.BatchWrite{
-				Key: key(rng.Intn(keys)), Value: kvstore.Value{"v": fmt.Sprintf("t%d", ts)}, TS: ts,
+				Key: key(rng.Intn(keys)), Value: kvstore.PackAttr("v", fmt.Sprintf("t%d", ts)), TS: ts,
 			})
 		}
 		// Duplicate keys within one position are illegal upstream; dedup.

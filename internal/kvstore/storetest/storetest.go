@@ -35,9 +35,9 @@ func Run(t *testing.T, factory Factory) {
 
 func batchBasic(t *testing.T, s *kvstore.Store) {
 	err := s.ApplyBatch([]kvstore.BatchWrite{
-		{Key: "a", Value: kvstore.Value{"v": "1"}, TS: 1},
-		{Key: "b", Value: kvstore.Value{"v": "2"}, TS: 1},
-		{Key: "a", Value: kvstore.Value{"v": "3"}, TS: 2},
+		{Key: "a", Value: kvstore.PackAttr("v", "1"), TS: 1},
+		{Key: "b", Value: kvstore.PackAttr("v", "2"), TS: 1},
+		{Key: "a", Value: kvstore.PackAttr("v", "3"), TS: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func batchEmpty(t *testing.T, s *kvstore.Store) {
 }
 
 func batchRejectsImplicitTS(t *testing.T, s *kvstore.Store) {
-	err := s.ApplyBatch([]kvstore.BatchWrite{{Key: "a", Value: kvstore.Value{"v": "1"}, TS: -1}})
+	err := s.ApplyBatch([]kvstore.BatchWrite{{Key: "a", Value: kvstore.PackAttr("v", "1"), TS: -1}})
 	if err == nil {
 		t.Fatal("negative timestamp accepted")
 	}
@@ -69,8 +69,8 @@ func batchRejectsImplicitTS(t *testing.T, s *kvstore.Store) {
 func batchIdempotentReplay(t *testing.T, s *kvstore.Store) {
 	for i := 0; i < 3; i++ {
 		batch := []kvstore.BatchWrite{
-			{Key: "a", Value: kvstore.Value{"v": "1"}, TS: 1},
-			{Key: "b", Value: kvstore.Value{"v": "2"}, TS: 1},
+			{Key: "a", Value: kvstore.PackAttr("v", "1"), TS: 1},
+			{Key: "b", Value: kvstore.PackAttr("v", "2"), TS: 1},
 		}
 		if err := s.ApplyBatch(batch); err != nil {
 			t.Fatalf("replay #%d: %v", i, err)
@@ -89,9 +89,9 @@ func batchConflictAppliesNothing(t *testing.T, s *kvstore.Store) {
 		t.Fatal(err)
 	}
 	err := s.ApplyBatch([]kvstore.BatchWrite{
-		{Key: "fresh1", Value: kvstore.Value{"v": "x"}, TS: 1},
-		{Key: "clash", Value: kvstore.Value{"v": "DIFFERENT"}, TS: 5},
-		{Key: "fresh2", Value: kvstore.Value{"v": "y"}, TS: 1},
+		{Key: "fresh1", Value: kvstore.PackAttr("v", "x"), TS: 1},
+		{Key: "clash", Value: kvstore.PackAttr("v", "DIFFERENT"), TS: 5},
+		{Key: "fresh2", Value: kvstore.PackAttr("v", "y"), TS: 1},
 	})
 	if !errors.Is(err, kvstore.ErrStaleWrite) {
 		t.Fatalf("err = %v, want ErrStaleWrite", err)
@@ -107,10 +107,10 @@ func batchConflictAppliesNothing(t *testing.T, s *kvstore.Store) {
 }
 
 func batchBackfill(t *testing.T, s *kvstore.Store) {
-	if err := s.ApplyBatch([]kvstore.BatchWrite{{Key: "k", Value: kvstore.Value{"v": "late"}, TS: 10}}); err != nil {
+	if err := s.ApplyBatch([]kvstore.BatchWrite{{Key: "k", Value: kvstore.PackAttr("v", "late"), TS: 10}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ApplyBatch([]kvstore.BatchWrite{{Key: "k", Value: kvstore.Value{"v": "early"}, TS: 4}}); err != nil {
+	if err := s.ApplyBatch([]kvstore.BatchWrite{{Key: "k", Value: kvstore.PackAttr("v", "early"), TS: 4}}); err != nil {
 		t.Fatal(err)
 	}
 	if v, ts, err := s.Read("k", 7); err != nil || ts != 4 || v["v"] != "early" {
@@ -134,8 +134,8 @@ func batchConcurrentIdentical(t *testing.T, s *kvstore.Store) {
 			defer wg.Done()
 			for ts := int64(1); ts <= positions; ts++ {
 				batch := []kvstore.BatchWrite{
-					{Key: "shared", Value: kvstore.Value{"v": fmt.Sprint(ts)}, TS: ts},
-					{Key: fmt.Sprintf("k%d", ts%7), Value: kvstore.Value{"v": fmt.Sprint(ts)}, TS: ts},
+					{Key: "shared", Value: kvstore.PackAttr("v", fmt.Sprint(ts)), TS: ts},
+					{Key: fmt.Sprintf("k%d", ts%7), Value: kvstore.PackAttr("v", fmt.Sprint(ts)), TS: ts},
 				}
 				if err := s.ApplyBatch(batch); err != nil {
 					errs <- err
@@ -170,7 +170,7 @@ func batchConcurrentDisjoint(t *testing.T, s *kvstore.Store) {
 				for k := 0; k < 4; k++ {
 					batch = append(batch, kvstore.BatchWrite{
 						Key:   fmt.Sprintf("g%d-k%d", g, k),
-						Value: kvstore.Value{"v": fmt.Sprint(ts)},
+						Value: kvstore.PackAttr("v", fmt.Sprint(ts)),
 						TS:    ts,
 					})
 				}
@@ -235,7 +235,7 @@ func writeFamily(t *testing.T, s *kvstore.Store) {
 
 func closedStore(t *testing.T, s *kvstore.Store) {
 	s.Close()
-	err := s.ApplyBatch([]kvstore.BatchWrite{{Key: "a", Value: kvstore.Value{"v": "1"}, TS: 1}})
+	err := s.ApplyBatch([]kvstore.BatchWrite{{Key: "a", Value: kvstore.PackAttr("v", "1"), TS: 1}})
 	if !errors.Is(err, kvstore.ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}

@@ -43,8 +43,8 @@ func TestSnapshotInstallThenCrashReplay(t *testing.T) {
 	// A peer snapshot at horizon 7: data rows land first (ApplyBatch with
 	// original version timestamps), then the watermark jumps.
 	err = store.ApplyBatch([]kvstore.BatchWrite{
-		{Key: "x", Value: kvstore.Value{"v": "7"}, TS: 7},
-		{Key: "y", Value: kvstore.Value{"v": "5"}, TS: 5},
+		{Key: "x", Value: kvstore.PackAttr("v", "7"), TS: 7},
+		{Key: "y", Value: kvstore.PackAttr("v", "5"), TS: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestInterruptedInstallRecoversBehindData(t *testing.T) {
 	}
 	// Data rows land... and the power goes out before InstallSnapshot.
 	err = store.ApplyBatch([]kvstore.BatchWrite{
-		{Key: "x", Value: kvstore.Value{"v": "7"}, TS: 7},
+		{Key: "x", Value: kvstore.PackAttr("v", "7"), TS: 7},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -699,7 +699,7 @@ func (l *Log) drain() {
 			}
 			for k, v := range entryWrites {
 				writes = append(writes, kvstore.BatchWrite{
-					Key: DataKey(l.group, k), Value: kvstore.Value{"v": v}, TS: p,
+					Key: DataKey(l.group, k), Value: kvstore.PackAttr("v", v), TS: p,
 				})
 			}
 		}

@@ -335,7 +335,7 @@ func TestLogInstallSnapshot(t *testing.T) {
 	l, store := openLog(t)
 	// Land the snapshot's data rows the way the service does, then jump.
 	if err := store.ApplyBatch([]kvstore.BatchWrite{
-		{Key: DataKey("g", "k"), Value: kvstore.Value{"v": "snap"}, TS: 7},
+		{Key: DataKey("g", "k"), Value: kvstore.PackAttr("v", "snap"), TS: 7},
 	}); err != nil {
 		t.Fatal(err)
 	}
